@@ -226,6 +226,9 @@ int run_batch_bench(int argc, const char* const* argv) {
   return identical ? 0 : 2;
 }
 
+// Seed of every request input this bench makes (serve::make_request_input).
+constexpr std::uint64_t kInputSeed = 7;
+
 // Times `count` identical requests on one engine through `server`,
 // waiting for all of them; returns requests/sec.
 double time_requests(serve::InferenceServer& server,
@@ -237,7 +240,8 @@ double time_requests(serve::InferenceServer& server,
   ro.exec_mode = mode;
   const auto t0 = std::chrono::steady_clock::now();
   for (std::int64_t i = 0; i < count; ++i)
-    futures.push_back(server.submit(net, batch, ro));
+    futures.push_back(server.submit(
+        net, serve::make_request_input(kInputSeed, i, net, batch), ro));
   for (auto& f : futures) f.get();
   const auto t1 = std::chrono::steady_clock::now();
   const double secs = std::chrono::duration<double>(t1 - t0).count();
@@ -334,7 +338,8 @@ bool run_admission_phase(const nn::NetworkModel& net,
       // missed deadline — while admission-on rejects them at submit.
       ro.deadline_ms = (i % 4 == 3) ? 1e-2 : 600e3;
       ro.admission = admission;
-      futures.push_back(fleet.submit(net, /*batch=*/1 + i % 2, ro));
+      futures.push_back(fleet.submit(
+          net, serve::make_request_input(kInputSeed, i, net, 1 + i % 2), ro));
     }
     for (auto& f : futures) (void)f.get();
     fleet.wait_idle();
@@ -400,7 +405,9 @@ bool run_fleet_phase(const CliFlags& flags, std::ostringstream& json) {
   serve::RequestOptions past_deadline;
   past_deadline.deadline_ms = -1.0;
   const serve::InferenceResult cancelled_probe =
-      fleet.submit(net_a, 1, past_deadline).get();
+      fleet.submit(net_a, serve::make_request_input(kInputSeed, 0, net_a, 1),
+                   past_deadline)
+          .get();
 
   // Preemption burst, outside the timed trace comparison: slow tier-0
   // batch-8 requests seize every chip, and once they are mid-run a
@@ -413,12 +420,14 @@ bool run_fleet_phase(const CliFlags& flags, std::ostringstream& json) {
     std::vector<std::future<serve::InferenceResult>> burst;
     serve::RequestOptions slow;  // tier 0, several layer boundaries
     for (std::size_t c = 0; c < num_chips; ++c)
-      burst.push_back(fleet.submit(net_b, /*batch=*/8, slow));
+      burst.push_back(fleet.submit(
+          net_b, serve::make_request_input(kInputSeed, c, net_b, 8), slow));
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
     serve::RequestOptions chaser;
     chaser.priority = 2;
     for (std::size_t c = 0; c < num_chips; ++c)
-      burst.push_back(fleet.submit(net_b, /*batch=*/1, chaser));
+      burst.push_back(fleet.submit(
+          net_b, serve::make_request_input(kInputSeed, c, net_b, 1), chaser));
     for (auto& f : burst) (void)f.get();
   }
   fleet.wait_idle();
@@ -516,7 +525,8 @@ bool run_durability_phase(const CliFlags& flags, std::ostringstream& json) {
     for (std::int64_t i = 0; i < requests; ++i) {
       serve::RequestOptions ro;
       if (i % 3 == 2) ro.priority = 1;
-      futures.push_back(fleet.submit(net, /*batch=*/1 + i % 2, ro));
+      futures.push_back(fleet.submit(
+          net, serve::make_request_input(kInputSeed, i, net, 1 + i % 2), ro));
     }
     for (auto& f : futures) (void)f.get();
     const double secs = std::chrono::duration<double>(
@@ -684,9 +694,11 @@ int run_serve_bench(int argc, const char* const* argv) {
   {
     serve::RequestOptions warm;
     warm.exec_mode = chain::ExecMode::kAnalytical;
-    (void)server.submit(net, batch, warm).get();
+    const Tensor<std::int16_t> input =
+        serve::make_request_input(kInputSeed, 0, net, batch);
+    (void)server.submit(net, input, warm).get();
     warm.exec_mode = chain::ExecMode::kCycleAccurate;
-    (void)server.submit(net, batch, warm).get();
+    (void)server.submit(net, input, warm).get();
   }
 
   // Cache counters are reported as the delta over the timed windows
@@ -714,7 +726,8 @@ int run_serve_bench(int argc, const char* const* argv) {
         std::max<std::int64_t>(1, requests / fidelity_every);
     std::vector<std::future<serve::InferenceResult>> futures;
     for (std::int64_t i = 0; i < samples; ++i)
-      futures.push_back(fidelity_server.submit(net, batch, {}));
+      futures.push_back(fidelity_server.submit(
+          net, serve::make_request_input(kInputSeed, i, net, batch)));
     for (auto& f : futures) f.get();
     const serve::ServerStats fs = fidelity_server.stats();
     fidelity_samples = fs.fidelity_samples;

@@ -1,6 +1,6 @@
 // Gateway soak: many concurrent keep-alive HTTP connections driving a
 // mixed-tier trace through the JSON front door, with client-side
-// latency quantiles and a wire-vs-direct bit-identity phase. Results
+// latency quantiles and wire-vs-direct bit-identity checks. Results
 // land in a "gateway" section merged into BENCH_serve.json (alongside
 // bench_micro's serve/fleet sections) and are gated by
 // scripts/compare_bench.py: zero transport errors, zero 5xx, zero
@@ -11,16 +11,16 @@
 //                [--identity-requests=6] [--scale=4]
 //                [--threads-per-chip=1] [--json=BENCH_serve.json]
 //
-// Two phases, each on a fresh fleet + gateway:
+// A response's wire `id` keys its input (serve::make_request_input over
+// the fleet's input_seed), so every response can be rebuilt from its id
+// alone. Two phases, each on a fresh fleet + gateway:
 //
 //   1. Identity (sequential): the same mixed requests go through the
 //      wire and through Fleet::submit on a twin fleet with identical
-//      options. Sequential submission makes routing — and therefore
-//      per-server request ids, and therefore the id-seeded generated
-//      inputs — deterministic, so the wire response's (cycles, digest)
-//      must equal the direct result's bit for bit. Under the concurrent
-//      soak ids are assigned by arrival order, so bit-identity is only
-//      checkable here.
+//      options, the direct submit using the input the wire id keys.
+//      Sequential submission makes routing deterministic, so the wire
+//      response's (chip, cycles, digest) must equal the direct result's
+//      bit for bit.
 //
 //   2. Soak (concurrent): every connection is a thread with its own
 //      persistent HttpClient issuing keep-alive submits. The trace
@@ -30,6 +30,9 @@
 //      admission-gated unmeetable deadline (resolves "rejected").
 //      Latency is recorded client-side (request write to response
 //      read) into a LatencyHistogram; the JSON reports p50/p99/p999.
+//      After the timed window, untimed, every "ok" response is rebuilt
+//      from its id by a direct run on the chip it names; a mismatch
+//      counts toward digest_mismatches like an identity-phase one.
 //
 // --json=- prints the gateway section to stdout without touching any
 // file (the CTest smoke uses this). Otherwise the section is spliced
@@ -43,11 +46,13 @@
 #include <fstream>
 #include <iostream>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "chain/network_runner.hpp"
 #include "common/cli.hpp"
 #include "net/gateway.hpp"
 #include "net/http_client.hpp"
@@ -94,6 +99,46 @@ std::string submit_body(const TraceRequest& t) {
   return body.str();
 }
 
+// True when the response names `chip` and carries the cycles and
+// activations digest of `run`.
+bool wire_matches(const net::Json& doc, const std::string& chip,
+                  const chain::NetworkRunResult& run) {
+  const net::Json* wire_chip = doc.find("chip");
+  const net::Json* cycles = doc.find("cycles");
+  const net::Json* digest = doc.find("digest");
+  return wire_chip && wire_chip->is_string() &&
+         wire_chip->as_string() == chip && cycles && cycles->is_integer() &&
+         cycles->as_int() == net::run_cycles(run) && digest &&
+         digest->is_string() &&
+         digest->as_string() == hex16(net::run_digest(run));
+}
+
+// The input a wire id keys, run directly (no fleet, no server) on the
+// configuration of the named fleet chip; nullopt for an unknown chip.
+std::optional<chain::NetworkRunResult> direct_run(const serve::Fleet& fleet,
+                                                  const std::string& chip,
+                                                  const nn::NetworkModel& net,
+                                                  std::int64_t id,
+                                                  std::int64_t batch) {
+  for (const serve::ChipSpec& spec : fleet.chips()) {
+    if (spec.name != chip) continue;
+    chain::AcceleratorConfig cfg = serve::analytical_accelerator_config();
+    cfg.array = spec.array;
+    cfg.memory = spec.memory;
+    chain::ChainAccelerator acc(cfg);
+    const auto energy = energy::EnergyModel::paper_calibrated();
+    chain::NetworkRunner runner(acc, energy);
+    chain::NetworkRunOptions ro;
+    ro.verify_against_golden = false;
+    return runner.run(net,
+                      serve::make_request_input(fleet.options().input_seed,
+                                                static_cast<std::uint64_t>(id),
+                                                net, batch),
+                      ro);
+  }
+  return std::nullopt;
+}
+
 serve::FleetOptions fleet_options(std::int64_t threads_per_chip) {
   serve::FleetOptions fo;
   fo.threads_per_chip = threads_per_chip;
@@ -113,7 +158,6 @@ std::int64_t identity_phase(std::int64_t count, std::int64_t scale,
   net::Gateway gateway(wire_fleet, go);
   net::HttpClient client("127.0.0.1", gateway.port());
 
-  std::map<std::string, nn::NetworkModel> proxies;
   std::int64_t mismatches = 0;
   for (std::int64_t i = 0; i < count; ++i) {
     const TraceRequest t = trace_request(i, i / 2);
@@ -126,29 +170,33 @@ std::int64_t identity_phase(std::int64_t count, std::int64_t scale,
       continue;
     }
     const auto doc = net::Json::parse(resp.body);
+    const net::Json* id = doc ? doc->find("id") : nullptr;
+    const net::Json* status = doc ? doc->find("status") : nullptr;
+    if (!id || !id->is_integer()) {
+      std::cerr << "identity " << i << ": response without an id\n";
+      ++mismatches;
+      continue;
+    }
 
-    if (proxies.find(t.model) == proxies.end())
-      proxies.emplace(t.model, serve::channel_reduced_proxy(
-                                   nn::model_by_name(t.model), scale));
+    const nn::NetworkModel net =
+        serve::channel_reduced_proxy(nn::model_by_name(t.model), scale);
     serve::RequestOptions ro;
     ro.priority = t.priority;
     if (t.deadline_ms != 0.0) ro.deadline_ms = t.deadline_ms;
     const serve::InferenceResult direct =
-        direct_fleet.submit(proxies.at(t.model), t.batch, ro).get();
+        direct_fleet
+            .submit(net,
+                    serve::make_request_input(
+                        direct_fleet.options().input_seed,
+                        static_cast<std::uint64_t>(id->as_int()), net,
+                        t.batch),
+                    ro)
+            .get();
 
-    const net::Json* cycles = doc ? doc->find("cycles") : nullptr;
-    const net::Json* digest = doc ? doc->find("digest") : nullptr;
-    const net::Json* status = doc ? doc->find("status") : nullptr;
-    const net::Json* chip = doc ? doc->find("chip") : nullptr;
-    const bool same =
-        doc && status && status->is_string() &&
-        status->as_string() ==
-            net::request_status_name(direct.status) &&
-        chip && chip->is_string() && chip->as_string() == direct.chip &&
-        cycles && cycles->is_integer() &&
-        cycles->as_int() == net::run_cycles(direct.run) &&
-        digest && digest->is_string() &&
-        digest->as_string() == hex16(net::run_digest(direct.run));
+    const bool same = status && status->is_string() &&
+                      status->as_string() ==
+                          net::request_status_name(direct.status) &&
+                      wire_matches(*doc, direct.chip, direct.run);
     if (!same) {
       std::cerr << "identity " << i << ": wire response diverged from "
                 << "direct submit (model " << t.model << ", batch "
@@ -183,7 +231,7 @@ int main(int argc, char** argv) {
   const std::int64_t threads_per_chip =
       std::max<std::int64_t>(1, flags.get_int("threads-per-chip"));
 
-  const std::int64_t digest_mismatches =
+  std::int64_t digest_mismatches =
       identity_phase(identity_requests, scale, threads_per_chip);
 
   // Phase 2: the concurrent soak, on a fresh fleet + gateway so the
@@ -195,12 +243,21 @@ int main(int argc, char** argv) {
   net::Gateway gateway(fleet, go);
   const std::uint16_t port = gateway.port();
 
+  // Every "ok" response with its trace request, per connection, for the
+  // untimed reproduction pass after the window.
+  struct Served {
+    TraceRequest request;
+    net::Json doc;
+  };
+  std::vector<std::vector<Served>> served(
+      static_cast<std::size_t>(connections));
   serve::LatencyHistogram latency;
   std::atomic<std::int64_t> errors{0};
   const auto worker = [&](std::int64_t conn) {
     net::HttpClient client("127.0.0.1", port, /*timeout_s=*/300.0);
     for (std::int64_t r = 0; r < per; ++r) {
       std::string body;
+      const TraceRequest t = trace_request(conn, r);
       if (conn == 0 && r == 0) {
         // Past deadline at submit: resolves "cancelled", never runs.
         body = "{\"model\": \"lenet\", \"batch\": 1, \"deadline_ms\": -1}";
@@ -210,7 +267,7 @@ int main(int argc, char** argv) {
         body = "{\"model\": \"lenet\", \"batch\": 1, \"deadline_ms\": -1, "
                "\"admission\": true}";
       } else {
-        body = submit_body(trace_request(conn, r));
+        body = submit_body(t);
       }
       net::HttpResponse resp;
       const auto t0 = std::chrono::steady_clock::now();
@@ -222,10 +279,15 @@ int main(int argc, char** argv) {
         errors.fetch_add(1, std::memory_order_relaxed);
         continue;
       }
-      const auto doc = net::Json::parse(resp.body);
-      if (!doc || doc->find("status") == nullptr ||
-          doc->find("digest") == nullptr)
+      auto doc = net::Json::parse(resp.body);
+      const net::Json* status = doc ? doc->find("status") : nullptr;
+      if (!status || doc->find("digest") == nullptr) {
         errors.fetch_add(1, std::memory_order_relaxed);
+        continue;
+      }
+      if (status->is_string() && status->as_string() == "ok")
+        served[static_cast<std::size_t>(conn)].push_back(
+            {t, std::move(*doc)});
     }
   };
 
@@ -247,6 +309,25 @@ int main(int argc, char** argv) {
         resp.body.find("chainnn_fleet_completed_total") == std::string::npos)
       errors.fetch_add(1, std::memory_order_relaxed);
   }
+
+  // Untimed: rebuild every ok response from its id.
+  for (const std::vector<Served>& conn : served)
+    for (const Served& s : conn) {
+      const net::Json* id = s.doc.find("id");
+      const net::Json* chip = s.doc.find("chip");
+      const std::optional<chain::NetworkRunResult> run =
+          id && id->is_integer() && chip && chip->is_string()
+              ? direct_run(fleet, chip->as_string(),
+                           serve::channel_reduced_proxy(
+                               nn::model_by_name(s.request.model), scale),
+                           id->as_int(), s.request.batch)
+              : std::nullopt;
+      if (!run || !wire_matches(s.doc, chip->as_string(), *run)) {
+        std::cerr << "soak response " << s.doc.dump()
+                  << " does not reproduce from its id\n";
+        ++digest_mismatches;
+      }
+    }
 
   const net::GatewayStats gs = gateway.stats();
   const auto snap = latency.snapshot();

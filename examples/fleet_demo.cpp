@@ -84,8 +84,10 @@ int main(int argc, char** argv) {
   serve::RequestOptions infeasible;
   infeasible.deadline_ms = 1e-3;
   infeasible.admission = true;
+  const Tensor<std::int16_t> probe_input =
+      serve::make_request_input(fleet.options().input_seed, 0, vgg, 1);
   const serve::InferenceResult rejected_probe =
-      fleet.submit(vgg, 1, infeasible).get();
+      fleet.submit(vgg, probe_input, infeasible).get();
   fleet.wait_idle();
   const serve::FleetStats stats = fleet.stats();
   const std::size_t num_chips = fleet.chips().size();

@@ -227,10 +227,16 @@ HttpResponse Gateway::handle_submit(const HttpRequest& request) {
     model = slot;
   }
 
+  // The wire id keys the input, so any response can be reproduced
+  // offline from (input_seed, id) whatever order requests arrived in.
+  const std::int64_t id = next_id_.fetch_add(1);
   const auto t0 = Clock::now();
   serve::InferenceResult result;
   try {
-    result = fleet_.submit(*model, batch, options).get();
+    Tensor<std::int16_t> input = serve::make_request_input(
+        fleet_.options().input_seed, static_cast<std::uint64_t>(id), *model,
+        batch);
+    result = fleet_.submit(*model, std::move(input), options).get();
   } catch (const std::exception& e) {
     {
       MutexLock lock(mu_);
@@ -251,7 +257,7 @@ HttpResponse Gateway::handle_submit(const HttpRequest& request) {
   }
 
   JsonObject out;
-  out.emplace_back("id", Json(result.request_id));
+  out.emplace_back("id", Json(id));
   out.emplace_back("status", Json(request_status_name(result.status)));
   out.emplace_back("chip", Json(result.chip));
   out.emplace_back("exec_mode", Json(chain::exec_mode_name(result.exec_mode)));

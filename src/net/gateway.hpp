@@ -10,10 +10,13 @@
 //                        "queue_ms", "modelled_seconds", "preemptions",
 //                        "resumed", "deadline_missed", "deadline_expired",
 //                        "completed_layers", "cycles", "digest", ...}.
-//                        `cycles` and `digest` (FNV-1a over the final
-//                        activations) make bit-identity checkable over
-//                        the wire: the same request submitted directly
-//                        via Fleet::submit must produce the same pair.
+//                        `id` keys the request's input:
+//                        serve::make_request_input(fleet input_seed,
+//                        id, model, batch). `cycles` and `digest`
+//                        (FNV-1a over the final activations) make
+//                        bit-identity checkable over the wire: that
+//                        input run directly on the named chip must
+//                        produce the same pair.
 //   GET  /metrics     Prometheus text exposition of FleetStats,
 //                     per-chip ServerStats, PlanCacheStats, the HTTP
 //                     server's own counters, and per-priority-tier
@@ -34,6 +37,7 @@
 // layer's geometry (and therefore the planning/routing behaviour).
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -103,13 +107,16 @@ class Gateway {
   std::int64_t submits_rejected_ CHAINNN_GUARDED_BY(mu_) = 0;
   std::int64_t submits_failed_ CHAINNN_GUARDED_BY(mu_) = 0;
   std::int64_t bad_requests_ CHAINNN_GUARDED_BY(mu_) = 0;
+  // Wire id of the next request that reaches the fleet; doubles as the
+  // make_request_input key of its input.
+  std::atomic<std::int64_t> next_id_{1};
 
   std::unique_ptr<HttpServer> server_;  // last: stops before members die
 };
 
 // FNV-1a 64-bit digest over a run's final activations — the wire-level
 // bit-identity witness. Exposed so tests and the soak driver can compute
-// the expected digest from a direct Fleet::submit result.
+// the expected digest from a direct run.
 [[nodiscard]] std::uint64_t run_digest(const chain::NetworkRunResult& run);
 // Total cycles across the run's layers (the "cycles" response field).
 [[nodiscard]] std::int64_t run_cycles(const chain::NetworkRunResult& run);

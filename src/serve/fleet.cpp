@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "common/check.hpp"
-#include "common/rng.hpp"
 
 namespace chainnn::serve {
 
@@ -42,11 +41,6 @@ Fleet::Fleet(FleetOptions options)
     so.fidelity_sample_every_n = opts_.fidelity_sample_every_n;
     so.plan_cache = cache_;
     so.enable_preemption = opts_.preemption;
-    // Request ids are per-server, so decorrelate the generated-input
-    // streams per chip (SplitMix64 expands the seed; a golden-ratio
-    // stride keeps chip streams disjoint for any realistic id range).
-    so.input_seed =
-        opts_.input_seed + 0x9E3779B97F4A7C15ull * static_cast<std::uint64_t>(c + 1);
     // Resume-aware backlog accounting: a preemption retires the modelled
     // seconds of the layers already completed, and the completion hook
     // retires only the remainder — together exactly modelled_seconds,
@@ -106,55 +100,17 @@ std::optional<double> admission_deadline_s(const RequestOptions& options) {
 }
 }  // namespace
 
-std::optional<std::future<InferenceResult>> Fleet::try_reject(
-    const RouteDecision& decision, std::uint64_t tag) {
-  if (decision.admitted) return std::nullopt;
-  // Infeasible on every chip: resolve the future right here with
-  // kRejected. The router charged nothing, no server ever sees the
-  // request, and the trace rollups skip it like any non-kOk entry.
-  ++rejected_;
-  InferenceResult r;
-  r.tag = tag;
-  r.status = RequestStatus::kRejected;
-  r.chip = decision.chip_name;  // best (still infeasible) chip, for info
-  r.modelled_seconds = decision.request_seconds;
-  std::promise<InferenceResult> promise;
-  std::future<InferenceResult> future = promise.get_future();
-  promise.set_value(std::move(r));
-  return future;
-}
-
-void Fleet::journal_submit(const RouteDecision& decision,
-                           const nn::NetworkModel& net,
-                           const Tensor<std::int16_t>& input,
-                           RequestOptions& options) {
-  if (!opts_.journal) return;
-  if (options.tag == 0) options.tag = 1 + next_tag_.fetch_add(1);
-  SubmitRecord rec;
-  rec.tag = options.tag;
-  rec.chip_name = decision.chip_name;
-  rec.net = net;
-  rec.input = input;
-  rec.priority = options.priority;
-  rec.num_workers = options.num_workers;
-  rec.verify_against_golden = options.verify_against_golden;
-  rec.exec_mode = options.exec_mode;
-  rec.array = options.array;
-  rec.inter_layer = options.inter_layer;
-  // SUBMIT hits the log *before* the request can reach a chip queue, so
-  // a crash at any later point finds the request journaled: the
-  // recovery either sees a terminal record too (done) or replays it —
-  // a request is never silently lost.
-  opts_.journal->append(encode_submit(rec));
-  // A refused admission is terminal at submit; pair the records here so
-  // the log never carries a dangling SUBMIT for a request that already
-  // resolved kRejected.
-  if (!decision.admitted) opts_.journal->append(encode_reject(options.tag));
-}
-
 std::future<InferenceResult> Fleet::submit(nn::NetworkModel net,
                                            Tensor<std::int16_t> input,
                                            RequestOptions options) {
+  return dispatch(std::move(net), std::move(input), std::move(options),
+                  std::nullopt);
+}
+
+std::future<InferenceResult> Fleet::dispatch(nn::NetworkModel net,
+                                             Tensor<std::int16_t> input,
+                                             RequestOptions options,
+                                             std::optional<std::size_t> pin) {
   // Mirror InferenceServer::submit's request validation *before* routing:
   // a dispatch charges the chip's backlog, and only the completion hook
   // retires it, so a request rejected after routing must be retracted.
@@ -163,60 +119,75 @@ std::future<InferenceResult> Fleet::submit(nn::NetworkModel net,
   CHAINNN_CHECK(input.shape().rank() == 4);
   CHAINNN_CHECK_MSG(options.num_workers >= 1,
                     "num_workers must be >= 1, got " << options.num_workers);
-  const RouteDecision decision = router_->route_and_dispatch(
-      net, input.shape().dim(0), input.shape().dim(2), input.shape().dim(3),
-      options.inter_layer, options.array, admission_deadline_s(options));
-  journal_submit(decision, net, input, options);
+  const std::int64_t batch = input.shape().dim(0);
+  const std::int64_t height = input.shape().dim(2);
+  const std::int64_t width = input.shape().dim(3);
+  RouteDecision decision;
+  if (pin) {
+    // Charge the pinned chip's backlog exactly as routing would have.
+    decision.chip = *pin;
+    decision.chip_name = router_->chips()[*pin].name;
+    decision.request_seconds = router_->modelled_request_seconds(
+        *pin, net, batch, height, width, options.inter_layer, options.array);
+    router_->dispatch(decision);
+  } else {
+    decision = router_->route_and_dispatch(
+        net, batch, height, width, options.inter_layer, options.array,
+        admission_deadline_s(options));
+  }
+  if (opts_.journal && options.tag == 0)
+    options.tag = 1 + next_tag_.fetch_add(1);
   const std::uint64_t tag = options.tag;
-  if (auto rejected = try_reject(decision, tag))
-    return std::move(*rejected);
-  options.modelled_seconds = decision.request_seconds;
+  bool journaled = false;
   try {
+    if (opts_.journal) {
+      SubmitRecord rec;
+      rec.tag = tag;
+      rec.chip_name = decision.chip_name;
+      rec.net = net;
+      rec.input = input;
+      rec.priority = options.priority;
+      rec.num_workers = options.num_workers;
+      rec.verify_against_golden = options.verify_against_golden;
+      rec.exec_mode = options.exec_mode;
+      rec.array = options.array;
+      rec.inter_layer = options.inter_layer;
+      // SUBMIT hits the log *before* the request can reach a chip queue,
+      // so a crash at any later point finds the request journaled: the
+      // recovery either sees a terminal record too (done) or replays it
+      // — a request is never silently lost.
+      opts_.journal->append(encode_submit(rec));
+      journaled = true;
+      // A refused admission is terminal at submit; pair the records here
+      // so the log never carries a dangling SUBMIT for a request that
+      // already resolved kRejected.
+      if (!decision.admitted) opts_.journal->append(encode_reject(tag));
+    }
+    if (!decision.admitted) {
+      // Infeasible on every chip: resolve the future right here with
+      // kRejected. The router charged nothing, no server ever sees the
+      // request, and the trace rollups skip it like any non-kOk entry.
+      ++rejected_;
+      InferenceResult r;
+      r.tag = tag;
+      r.status = RequestStatus::kRejected;
+      r.chip = decision.chip_name;  // best (still infeasible) chip, for info
+      r.modelled_seconds = decision.request_seconds;
+      std::promise<InferenceResult> promise;
+      promise.set_value(std::move(r));
+      return promise.get_future();
+    }
+    options.modelled_seconds = decision.request_seconds;
     return servers_[decision.chip]->submit(std::move(net), std::move(input),
                                            std::move(options));
   } catch (...) {
-    router_->retract(decision);
-    // The enqueue never happened, so no completion hook will ever write
-    // a terminal record — close the SUBMIT out here or a recovery would
-    // replay a request whose submitter saw an exception.
-    if (opts_.journal && tag != 0)
+    // The enqueue never happened: give the chip its modelled seconds back
+    // and, since no completion hook will ever write a terminal record,
+    // close a journaled SUBMIT out here — or a recovery would replay a
+    // request whose submitter saw an exception.
+    if (decision.admitted) router_->retract(decision);
+    if (journaled)
       opts_.journal->append(encode_cancel(tag, CancelReason::kFailed));
-    throw;
-  }
-}
-
-std::future<InferenceResult> Fleet::submit(const nn::NetworkModel& net,
-                                           std::int64_t batch,
-                                           RequestOptions options) {
-  CHAINNN_CHECK_MSG(batch >= 1, "batch must be >= 1, got " << batch);
-  CHAINNN_CHECK_MSG(!net.conv_layers.empty(),
-                    "cannot serve an empty network");
-  CHAINNN_CHECK_MSG(options.num_workers >= 1,
-                    "num_workers must be >= 1, got " << options.num_workers);
-  const nn::ConvLayerParams& first = net.conv_layers.front();
-  if (opts_.journal) {
-    // A journaled SUBMIT must carry the concrete input tensor (the
-    // server-side generator keys on per-server request ids, which
-    // restart from 1 with the process and so cannot reproduce the input
-    // after a crash). Generate it here, keyed by the durable tag, and
-    // take the explicit-input path.
-    if (options.tag == 0) options.tag = 1 + next_tag_.fetch_add(1);
-    Tensor<std::int16_t> input(
-        Shape{batch, first.in_channels, first.in_height, first.in_width});
-    Rng rng(opts_.input_seed ^ (0x9E3779B97F4A7C15ull * options.tag));
-    input.fill_random(rng, -64, 64);
-    return submit(net, std::move(input), std::move(options));
-  }
-  const RouteDecision decision = router_->route_and_dispatch(
-      net, batch, first.in_height, first.in_width, options.inter_layer,
-      options.array, admission_deadline_s(options));
-  if (auto rejected = try_reject(decision, options.tag))
-    return std::move(*rejected);
-  options.modelled_seconds = decision.request_seconds;
-  try {
-    return servers_[decision.chip]->submit(net, batch, std::move(options));
-  } catch (...) {
-    router_->retract(decision);
     throw;
   }
 }
@@ -274,54 +245,21 @@ RecoveryReport Fleet::recover(const std::string& journal_path,
       }
     }
 
-    std::future<InferenceResult> fut;
-    if (pin) {
-      // Manual dispatch: charge the pinned chip's backlog exactly as
-      // route_and_dispatch would have, then enqueue directly.
-      RouteDecision d;
-      d.chip = *pin;
-      d.chip_name = pin_name;
-      d.request_seconds = router_->modelled_request_seconds(
-          *pin, s.net, s.input.shape().dim(0), s.input.shape().dim(2),
-          s.input.shape().dim(3), s.inter_layer, s.array);
-      router_->dispatch(d);
-      journal_submit(d, s.net, s.input, options);
-      options.modelled_seconds = d.request_seconds;
-      try {
-        fut = servers_[*pin]->submit(std::move(s.net), std::move(s.input),
-                                     std::move(options));
-      } catch (...) {
-        router_->retract(d);
-        if (opts_.journal)
-          opts_.journal->append(encode_cancel(s.tag, CancelReason::kFailed));
-        throw;
-      }
-    } else {
-      // The pre-crash chip is not part of this fleet: fall back to
-      // normal routing. With a checkpoint in hand this is the
-      // cross-chip handoff — the resumed layers re-plan for the new
-      // chip and the ofmaps stay value-identical (the PR-5 guarantee).
-      if (req.checkpoint) {
-        ++handoffs_;
-        ++report.checkpoint_handoffs;
-      }
-      fut = submit(std::move(s.net), std::move(s.input), std::move(options));
+    // A chip that is not part of this fleet falls back to normal
+    // routing. With a checkpoint in hand this is the cross-chip handoff
+    // — the resumed layers re-plan for the new chip and the ofmaps stay
+    // value-identical.
+    if (!pin && req.checkpoint) {
+      ++handoffs_;
+      ++report.checkpoint_handoffs;
     }
+    std::future<InferenceResult> fut = dispatch(
+        std::move(s.net), std::move(s.input), std::move(options), pin);
     ++recovered_;
     ++report.replayed;
     report.futures.emplace_back(s.tag, std::move(fut));
   }
   return report;
-}
-
-RouteDecision Fleet::plan_route(const nn::NetworkModel& net,
-                                std::int64_t batch,
-                                const RequestOptions& options) const {
-  CHAINNN_CHECK_MSG(!net.conv_layers.empty(),
-                    "cannot route an empty network");
-  const nn::ConvLayerParams& first = net.conv_layers.front();
-  return router_->route(net, batch, first.in_height, first.in_width,
-                        options.inter_layer, options.array);
 }
 
 void Fleet::wait_idle() {
@@ -382,8 +320,13 @@ FleetTraceReport run_fleet_trace(Fleet& fleet,
   const auto t0 = std::chrono::steady_clock::now();
   std::vector<std::future<InferenceResult>> futures;
   futures.reserve(trace.size());
-  for (const FleetTraceEntry& e : trace)
-    futures.push_back(fleet.submit(*e.net, e.batch, e.options));
+  for (std::size_t i = 0; i < trace.size(); ++i) {
+    const FleetTraceEntry& e = trace[i];
+    futures.push_back(fleet.submit(
+        *e.net,
+        make_request_input(fleet.options().input_seed, i + 1, *e.net, e.batch),
+        e.options));
+  }
   for (std::size_t i = 0; i < futures.size(); ++i) {
     const InferenceResult r = futures[i].get();
     if (r.status != RequestStatus::kOk) continue;

@@ -58,8 +58,9 @@ struct FleetOptions {
   bool preemption = false;
   // Fleet-wide plan cache; nullptr creates a fleet-owned one.
   std::shared_ptr<PlanCache> plan_cache;
-  // Base seed for generated inputs; each chip decorrelates it so two
-  // chips never draw identical request inputs from equal local ids.
+  // Seed of the request inputs made for this fleet by its front ends
+  // (net::Gateway, run_fleet_trace) through make_request_input. The
+  // fleet itself only ever serves explicit inputs.
   std::uint64_t input_seed = 7;
   // Durable request journal (see serve/journal.hpp). When set, every
   // submit is assigned a fleet-wide tag and journaled (SUBMIT with the
@@ -161,20 +162,13 @@ class Fleet {
   // and a deadline_ms, a request infeasible on every chip is refused
   // instead: the future resolves immediately with
   // RequestStatus::kRejected (request never executes, nothing charged).
+  // With a journal, the SUBMIT record is appended before the enqueue;
+  // if the append or the enqueue throws, the routing charge is retracted
+  // (and an appended SUBMIT closed with CANCEL) before the error
+  // propagates.
   [[nodiscard]] std::future<InferenceResult> submit(
       nn::NetworkModel net, Tensor<std::int16_t> input,
       RequestOptions options = {});
-  // Convenience: deterministic random input of `batch` images (shaped by
-  // the network's first layer), generated by the chosen chip's server.
-  [[nodiscard]] std::future<InferenceResult> submit(
-      const nn::NetworkModel& net, std::int64_t batch,
-      RequestOptions options = {});
-
-  // The decision submit(net, batch, options) would take right now,
-  // without committing it (for tests and capacity planning).
-  [[nodiscard]] RouteDecision plan_route(
-      const nn::NetworkModel& net, std::int64_t batch,
-      const RequestOptions& options = {}) const;
 
   // Replays a crashed fleet's journal into this one. Requests with a
   // terminal record are left alone; every other SUBMIT is resubmitted in
@@ -206,6 +200,7 @@ class Fleet {
   void wait_idle();
 
   [[nodiscard]] FleetStats stats() const;
+  [[nodiscard]] const FleetOptions& options() const { return opts_; }
   [[nodiscard]] const std::vector<ChipSpec>& chips() const {
     return router_->chips();
   }
@@ -216,17 +211,15 @@ class Fleet {
   }
 
  private:
-  // Shared admission/rejection bookkeeping for both submit overloads.
-  [[nodiscard]] std::optional<std::future<InferenceResult>> try_reject(
-      const RouteDecision& decision, std::uint64_t tag);
-  // Claims the request's fleet-wide tag (when journaling and not already
-  // assigned by recovery) and appends its SUBMIT record — and, for a
-  // refused admission, the REJECT record — to the journal. No-op without
-  // a journal.
-  void journal_submit(const RouteDecision& decision,
-                      const nn::NetworkModel& net,
-                      const Tensor<std::int16_t>& input,
-                      RequestOptions& options);
+  // The one dispatch sequence behind submit() and recover(): charge a
+  // chip (earliest-finish routing, or `pin` for a recovered replay),
+  // claim the fleet-wide tag and journal SUBMIT (plus REJECT for a
+  // refused admission), resolve a refused request kRejected, otherwise
+  // enqueue on the chip — retracting the charge if anything after it
+  // throws.
+  [[nodiscard]] std::future<InferenceResult> dispatch(
+      nn::NetworkModel net, Tensor<std::int16_t> input,
+      RequestOptions options, std::optional<std::size_t> pin);
 
   // Concurrency contract: Fleet itself holds no mutex. Every mutable
   // member is either written once in the constructor and read-only
@@ -282,10 +275,10 @@ struct FleetTraceReport {
   [[nodiscard]] double modelled_speedup() const;
 };
 
-// Submits every entry through the fleet (batch overload — inputs are
-// generated by the routed chip's server), waits for all futures, and
-// rolls up the comparison. Cancelled/failed entries count toward neither
-// `completed` nor either side's seconds.
+// Submits every entry through the fleet — entry i with
+// make_request_input(fleet.options().input_seed, i + 1, ...) — waits for
+// all futures, and rolls up the comparison. Cancelled/failed entries
+// count toward neither `completed` nor either side's seconds.
 [[nodiscard]] FleetTraceReport run_fleet_trace(
     Fleet& fleet, const std::vector<FleetTraceEntry>& trace);
 

@@ -80,6 +80,22 @@ bool network_runs_identical(const chain::NetworkRunResult& a,
   return true;
 }
 
+Tensor<std::int16_t> make_request_input(std::uint64_t seed, std::uint64_t key,
+                                        const nn::NetworkModel& net,
+                                        std::int64_t batch) {
+  CHAINNN_CHECK_MSG(batch >= 1, "batch must be >= 1, got " << batch);
+  CHAINNN_CHECK_MSG(!net.conv_layers.empty(),
+                    "cannot serve an empty network");
+  const nn::ConvLayerParams& first = net.conv_layers.front();
+  Tensor<std::int16_t> input(
+      Shape{batch, first.in_channels, first.in_height, first.in_width});
+  // Rng SplitMix64-expands its seed; the golden-ratio multiple spreads
+  // consecutive keys across the seed space, and key 0 is plain Rng(seed).
+  Rng rng(seed ^ (0x9E3779B97F4A7C15ull * key));
+  input.fill_random(rng, -64, 64);
+  return input;
+}
+
 struct InferenceServer::Task {
   std::int64_t id = 0;
   nn::NetworkModel net;
@@ -184,33 +200,6 @@ std::future<InferenceResult> InferenceServer::submit(
   // A recovered checkpoint enters through the same banked-checkpoint
   // slot a live preemption uses, so the resume path downstream is
   // identical (execute_request adopts the prefix, is_resume counts it).
-  task.checkpoint = std::move(task.options.resume);
-  return enqueue(std::move(task));
-}
-
-std::future<InferenceResult> InferenceServer::submit(
-    const nn::NetworkModel& net, std::int64_t batch,
-    RequestOptions options) {
-  CHAINNN_CHECK_MSG(batch >= 1, "batch must be >= 1, got " << batch);
-  CHAINNN_CHECK_MSG(!net.conv_layers.empty(),
-                    "cannot serve an empty network");
-  CHAINNN_CHECK_MSG(options.num_workers >= 1,
-                    "num_workers must be >= 1, got " << options.num_workers);
-  // The id is claimed before the input is generated, so the input is a
-  // pure function of (input_seed, request_id) even under concurrent
-  // submitters — a logged divergence can be reproduced offline from the
-  // id alone.
-  Task task;
-  task.id = allocate_id();
-  const nn::ConvLayerParams& first = net.conv_layers.front();
-  task.input = Tensor<std::int16_t>(
-      Shape{batch, first.in_channels, first.in_height, first.in_width});
-  // Rng SplitMix64-expands its seed, so the xor'd id is enough to
-  // decorrelate per-request streams.
-  Rng rng(opts_.input_seed ^ static_cast<std::uint64_t>(task.id));
-  task.input.fill_random(rng, -64, 64);
-  task.net = net;
-  task.options = std::move(options);
   task.checkpoint = std::move(task.options.resume);
   return enqueue(std::move(task));
 }

@@ -1,7 +1,7 @@
 // InferenceServer — an async request scheduler over the Chain-NN
 // execution stack.
 //
-// submit(network, input | batch, options) returns a std::future; drain
+// submit(network, input, options) returns a std::future; drain
 // tasks on the process-wide common::WorkPool (its blocking lane — a
 // request may park on a user hook for arbitrarily long) drain a bounded
 // queue (submit blocks when the queue is full — backpressure, not
@@ -270,8 +270,6 @@ struct ServerOptions {
   // instead of replaying from scratch. Fires after preemption_hook.
   std::function<void(std::uint64_t tag, const chain::RunCheckpoint& cp)>
       checkpoint_hook;
-  // Seed for inputs generated by the submit(net, batch, ...) overload.
-  std::uint64_t input_seed = 7;
   // Called once per request, outside the server lock, immediately
   // *before* its future resolves — so by the time a caller observes the
   // result, the hook has already run (the Fleet relies on this to have
@@ -288,6 +286,17 @@ struct ServerOptions {
       fidelity_mutator_for_test;
 };
 
+// The deterministic request input every front end submits: `batch`
+// images shaped for the network's first layer, filled with integers in
+// [-64, 64] from Rng(seed ^ (0x9E3779B97F4A7C15 * key)). Pure — the same
+// arguments always give the same tensor — so a request is reproducible
+// offline from (seed, key) alone: the gateway keys on the wire id, a
+// sweep on 0 (plain Rng(seed)). Throws std::logic_error on batch < 1 or
+// an empty network.
+[[nodiscard]] Tensor<std::int16_t> make_request_input(
+    std::uint64_t seed, std::uint64_t key, const nn::NetworkModel& net,
+    std::int64_t batch);
+
 class InferenceServer {
  public:
   explicit InferenceServer(ServerOptions options = {});
@@ -303,11 +312,6 @@ class InferenceServer {
   [[nodiscard]] std::future<InferenceResult> submit(nn::NetworkModel net,
                                                     Tensor<std::int16_t> input,
                                                     RequestOptions options = {});
-  // Convenience: generates a deterministic random input of `batch`
-  // images shaped for the network's first layer.
-  [[nodiscard]] std::future<InferenceResult> submit(
-      const nn::NetworkModel& net, std::int64_t batch,
-      RequestOptions options = {});
 
   // Blocks until every submitted request has completed.
   void wait_idle();
@@ -326,9 +330,7 @@ class InferenceServer {
   struct Task;
   struct State;  // queue + counters (hidden so the header stays light)
 
-  // Claims the next request id (inputs are derived from it before the
-  // task enters the queue, so ids identify inputs even under concurrent
-  // submitters).
+  // Claims the next request id (submission order within this server).
   [[nodiscard]] std::int64_t allocate_id();
   // Blocks while the queue is full, then queues the task.
   [[nodiscard]] std::future<InferenceResult> enqueue(Task&& task);

@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "common/check.hpp"
-#include "common/rng.hpp"
 
 namespace chainnn::serve {
 
@@ -29,16 +28,12 @@ std::vector<SweepPointResult> SweepDriver::run(
       1, static_cast<std::int64_t>(points.size()));
   so.fidelity_sample_every_n = opts_.fidelity_sample_every_n;
   so.plan_cache = cache_;
-  so.input_seed = opts_.input_seed;
   InferenceServer server(so);
 
   // One input for the whole sweep, so every point executes the same
   // workload and the per-point figures are directly comparable.
-  const nn::ConvLayerParams& first = net_.conv_layers.front();
-  Tensor<std::int16_t> input(Shape{opts_.batch, first.in_channels,
-                                   first.in_height, first.in_width});
-  Rng rng(opts_.input_seed);
-  input.fill_random(rng, -64, 64);
+  const Tensor<std::int16_t> input =
+      make_request_input(opts_.input_seed, 0, net_, opts_.batch);
 
   std::vector<SweepPointResult> results;
   results.reserve(points.size());

@@ -1,18 +1,21 @@
 // Gateway integration over real sockets: routing/validation at the
-// front door, wire responses bit-identical to direct Fleet::submit
-// (the acceptance criterion of the HTTP layer — serialization must not
-// perturb execution), a /metrics scrape that agrees with FleetStats,
-// and sanitizer-clean concurrent connections.
+// front door, wire responses bit-identical to a direct run of the input
+// their id keys (the acceptance criterion of the HTTP layer —
+// serialization must not perturb execution), a /metrics scrape that
+// agrees with FleetStats, and sanitizer-clean concurrent connections.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
+#include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "chain/network_runner.hpp"
 #include "net/gateway.hpp"
 #include "net/http_client.hpp"
 #include "net/json.hpp"
@@ -38,6 +41,51 @@ std::string hex16(std::uint64_t v) {
 // First sample value for a metric line starting with `prefix`
 // (e.g. "chainnn_fleet_completed_total " or
 // "chainnn_chip_routed_total{chip=\"pe288\"}"). Returns NaN when absent.
+// Valid submits with the model and batch their bodies name.
+struct SubmitCase {
+  const char* body;
+  const char* model;
+  std::int64_t batch;
+  std::int32_t priority;
+};
+const SubmitCase kCases[] = {
+    {"{\"model\": \"lenet\"}", "lenet", 1, 0},
+    {"{\"model\": \"lenet\", \"batch\": 2, \"priority\": 1}", "lenet", 2, 1},
+    {"{\"model\": \"cifar10\", \"batch\": 1}", "cifar10", 1, 0},
+    {"{\"model\": \"lenet\", \"exec_mode\": \"analytical\"}", "lenet", 1, 0},
+};
+
+// Checks one wire response against a direct run (no fleet, no server)
+// of the input its id keys, on the configuration of the chip it names:
+// the gateway must only have chosen where the request ran.
+void expect_reproduces(const Json& wire, const serve::Fleet& fleet,
+                       const char* model, std::int64_t batch) {
+  const nn::NetworkModel net =
+      serve::channel_reduced_proxy(nn::model_by_name(model), kScale);
+  const std::string& chip = wire.find("chip")->as_string();
+  const serve::ChipSpec* spec = nullptr;
+  for (const serve::ChipSpec& c : fleet.chips())
+    if (c.name == chip) spec = &c;
+  ASSERT_NE(spec, nullptr) << "unknown chip " << chip;
+  chain::AcceleratorConfig cfg = serve::analytical_accelerator_config();
+  cfg.array = spec->array;
+  cfg.memory = spec->memory;
+  chain::ChainAccelerator acc(cfg);
+  const auto energy = energy::EnergyModel::paper_calibrated();
+  chain::NetworkRunner runner(acc, energy);
+  chain::NetworkRunOptions ro;
+  ro.verify_against_golden = false;
+  const std::int64_t id = wire.find("id")->as_int();
+  const chain::NetworkRunResult direct = runner.run(
+      net,
+      serve::make_request_input(fleet.options().input_seed,
+                                static_cast<std::uint64_t>(id), net, batch),
+      ro);
+  EXPECT_EQ(wire.find("cycles")->as_int(), run_cycles(direct)) << "id " << id;
+  EXPECT_EQ(wire.find("digest")->as_string(), hex16(run_digest(direct)))
+      << "id " << id;
+}
+
 double metric_value(const std::string& text, const std::string& prefix) {
   std::size_t pos = 0;
   while (pos < text.size()) {
@@ -134,29 +182,16 @@ TEST(Gateway, RawProtocolGarbageIs400AndConnectionCloses) {
 
 TEST(Gateway, SubmitIsBitIdenticalToDirectFleetSubmit) {
   // Twin fleets, identical options: the gateway drives one over HTTP,
-  // the test drives the other directly. Sequential submission (each
-  // response awaited before the next submit) makes routing — and
-  // therefore per-server request ids and generated inputs — identical,
-  // so cycles and the activations digest must match bit for bit.
+  // the test drives the other directly with the input the wire id keys.
+  // Sequential submission (each response awaited before the next
+  // submit) makes routing identical, so the chip, cycles and the
+  // activations digest must match bit for bit.
   serve::Fleet wire_fleet;
   serve::Fleet direct_fleet;
   Gateway gateway(wire_fleet, quick_gateway_options());
   HttpClient client("127.0.0.1", gateway.port());
 
-  struct Case {
-    const char* body;
-    const char* model;
-    std::int64_t batch;
-    std::int32_t priority;
-  };
-  const Case cases[] = {
-      {"{\"model\": \"lenet\"}", "lenet", 1, 0},
-      {"{\"model\": \"lenet\", \"batch\": 2, \"priority\": 1}", "lenet", 2, 1},
-      {"{\"model\": \"cifar10\", \"batch\": 1}", "cifar10", 1, 0},
-      {"{\"model\": \"lenet\", \"exec_mode\": \"analytical\"}", "lenet", 1, 0},
-  };
-
-  for (const Case& c : cases) {
+  for (const SubmitCase& c : kCases) {
     HttpResponse resp;
     ASSERT_TRUE(client.post_json("/v1/submit", c.body, &resp))
         << c.body << ": " << client.error();
@@ -168,13 +203,18 @@ TEST(Gateway, SubmitIsBitIdenticalToDirectFleetSubmit) {
         serve::channel_reduced_proxy(nn::model_by_name(c.model), kScale);
     serve::RequestOptions options;
     options.priority = c.priority;
+    const auto id = static_cast<std::uint64_t>(wire->find("id")->as_int());
     const serve::InferenceResult direct =
-        direct_fleet.submit(proxy, c.batch, options).get();
+        direct_fleet
+            .submit(proxy,
+                    serve::make_request_input(
+                        direct_fleet.options().input_seed, id, proxy, c.batch),
+                    options)
+            .get();
 
     ASSERT_EQ(direct.status, serve::RequestStatus::kOk) << c.body;
     EXPECT_EQ(wire->find("status")->as_string(), "ok") << c.body;
     EXPECT_EQ(wire->find("chip")->as_string(), direct.chip) << c.body;
-    EXPECT_EQ(wire->find("id")->as_int(), direct.request_id) << c.body;
     EXPECT_EQ(wire->find("cycles")->as_int(), run_cycles(direct.run))
         << c.body;
     EXPECT_EQ(wire->find("digest")->as_string(), hex16(run_digest(direct.run)))
@@ -287,7 +327,9 @@ TEST(Gateway, ConnectionCapAnswers503) {
 TEST(Gateway, ConcurrentConnectionsServeCleanly) {
   // Sanitizer target (runs under ASan/UBSan in sanitize.yml): several
   // client threads hammer submits and scrapes over their own keep-alive
-  // connections; every exchange must succeed and the books must balance.
+  // connections; every exchange must succeed, the books must balance,
+  // and every response must reproduce from its id whatever order the
+  // requests reached the fleet in.
   serve::Fleet fleet;
   Gateway gateway(fleet, quick_gateway_options());
 
@@ -295,20 +337,34 @@ TEST(Gateway, ConcurrentConnectionsServeCleanly) {
   constexpr int kRequestsEach = 3;
   std::vector<std::thread> threads;
   std::atomic<int> ok{0};
+  std::mutex responses_mu;
+  std::vector<std::pair<const SubmitCase*, Json>> responses;
   for (int t = 0; t < kClients; ++t)
-    threads.emplace_back([&gateway, &ok] {
+    threads.emplace_back([&, t] {
       HttpClient client("127.0.0.1", gateway.port());
       for (int i = 0; i < kRequestsEach; ++i) {
+        const SubmitCase& c = kCases[(t + i) % std::size(kCases)];
         HttpResponse resp;
-        if (!client.post_json("/v1/submit", "{\"model\": \"lenet\"}", &resp) ||
+        if (!client.post_json("/v1/submit", c.body, &resp) ||
             resp.status != 200)
           return;
+        std::optional<Json> wire = Json::parse(resp.body);
+        if (!wire) return;
+        {
+          std::lock_guard<std::mutex> lock(responses_mu);
+          responses.emplace_back(&c, std::move(*wire));
+        }
         if (!client.get("/metrics", &resp) || resp.status != 200) return;
         ++ok;
       }
     });
   for (auto& t : threads) t.join();
   EXPECT_EQ(ok.load(), kClients * kRequestsEach);
+  ASSERT_EQ(responses.size(), std::size_t{kClients * kRequestsEach});
+  for (const auto& [c, wire] : responses) {
+    SCOPED_TRACE(c->body);
+    expect_reproduces(wire, fleet, c->model, c->batch);
+  }
 
   const GatewayStats stats = gateway.stats();
   EXPECT_EQ(stats.submits_ok, kClients * kRequestsEach);

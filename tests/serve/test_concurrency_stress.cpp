@@ -147,7 +147,8 @@ TEST(ConcurrencyStress, FleetSubmitCancelPreemptStorm) {
         } else if (i % 4 == 2) {
           ro.deadline_ms = -1.0;  // dead on arrival at pickup
         }
-        std::future<InferenceResult> f = fleet.submit(net, /*batch=*/1, ro);
+        std::future<InferenceResult> f = fleet.submit(
+            net, make_request_input(7, kPerThread * t + i, net, 1), ro);
         if (token) token->store(true, std::memory_order_relaxed);
         const InferenceResult r = f.get();  // must always resolve
         EXPECT_TRUE(r.status == RequestStatus::kOk ||

@@ -4,14 +4,19 @@
 // execution on the routed chip, with fidelity sampling cross-checking
 // both engines on every request.
 #include <gtest/gtest.h>
+#include <sys/resource.h>
+#include <unistd.h>
 
 #include <atomic>
+#include <csignal>
+#include <filesystem>
 #include <future>
 #include <memory>
 #include <vector>
 
 #include "chain/network_runner.hpp"
 #include "common/rng.hpp"
+#include "serve/durable.hpp"
 #include "serve/fleet.hpp"
 
 namespace chainnn::serve {
@@ -40,6 +45,8 @@ nn::NetworkModel tiny_net() {
   return net;
 }
 
+constexpr std::uint64_t kSeed = 7;
+
 TEST(Fleet, SpreadsIdenticalRequestsAcrossChips) {
   FleetOptions fo;
   fo.threads_per_chip = 1;
@@ -61,7 +68,8 @@ TEST(Fleet, SpreadsIdenticalRequestsAcrossChips) {
   };
   std::vector<std::future<InferenceResult>> futures;
   for (int i = 0; i < 9; ++i)
-    futures.push_back(fleet.submit(net, /*batch=*/1, gated));
+    futures.push_back(
+        fleet.submit(net, make_request_input(kSeed, i, net, 1), gated));
   open_gate.set_value();
   for (auto& f : futures) {
     const InferenceResult r = f.get();
@@ -102,9 +110,7 @@ TEST(Fleet, FleetVsDirectBitIdentityUnderFullFidelitySampling) {
   Fleet fleet(fo);
   const nn::NetworkModel net = tiny_net();
 
-  Tensor<std::int16_t> input(Shape{2, 2, 8, 8});
-  Rng rng(1234);
-  input.fill_random(rng, -64, 64);
+  const Tensor<std::int16_t> input = make_request_input(1234, 0, net, 2);
 
   const InferenceResult r = fleet.submit(net, input, {}).get();
   ASSERT_EQ(r.status, RequestStatus::kOk);
@@ -145,7 +151,8 @@ TEST(Fleet, PastDeadlineRequestRetiresItsBacklog) {
 
   RequestOptions late;
   late.deadline_ms = -1.0;
-  const InferenceResult r = fleet.submit(net, 1, late).get();
+  const InferenceResult r = fleet.submit(
+      net, make_request_input(kSeed, 0, net, 1), late).get();
   EXPECT_EQ(r.status, RequestStatus::kCancelled);
   fleet.wait_idle();
 
@@ -166,7 +173,9 @@ TEST(Fleet, RejectedSubmitLeavesRouterUntouched) {
 
   RequestOptions bad;
   bad.num_workers = 0;
-  EXPECT_THROW((void)fleet.submit(net, 1, bad), std::logic_error);
+  EXPECT_THROW(
+      (void)fleet.submit(net, make_request_input(kSeed, 0, net, 1), bad),
+      std::logic_error);
 
   // The rejected request must not have been charged to any chip: a
   // leaked dispatch would permanently skew placement away from the chip
@@ -180,13 +189,74 @@ TEST(Fleet, RejectedSubmitLeavesRouterUntouched) {
   }
 }
 
-TEST(Fleet, PlanRouteMatchesSubmitPlacement) {
+TEST(Fleet, FailedJournalSubmitRetractsTheRoutingCharge) {
+  // A SUBMIT append that fails (here: the journal file may not grow, so
+  // write() fails with EFBIG) must leave the fleet as if the request was
+  // never made — no modelled backlog or routed count leaked to the chip
+  // it was routed to, and no record in the log.
+  const std::filesystem::path path =
+      std::filesystem::temp_directory_path() /
+      ("chainnn_fleet_test_" + std::to_string(::getpid()) + ".jrnl");
+  FleetOptions fo;
+  fo.threads_per_chip = 1;
+  JournalOptions jo;
+  jo.path = path.string();
+  fo.journal = std::make_shared<Journal>(jo);
+  Fleet fleet(fo);
+  const nn::NetworkModel net = tiny_net();
+  ASSERT_EQ(
+      fleet.submit(net, make_request_input(kSeed, 1, net, 1)).get().status,
+      RequestStatus::kOk);
+  fleet.wait_idle();
+  const std::vector<std::int64_t> routed_before =
+      fleet.router().routed_counts();
+
+  // Growing the file past RLIMIT_FSIZE raises SIGXFSZ unless ignored.
+  const auto old_handler = std::signal(SIGXFSZ, SIG_IGN);
+  rlimit old_limit{};
+  ASSERT_EQ(::getrlimit(RLIMIT_FSIZE, &old_limit), 0);
+  rlimit capped = old_limit;
+  capped.rlim_cur = static_cast<rlim_t>(std::filesystem::file_size(path));
+  ASSERT_EQ(::setrlimit(RLIMIT_FSIZE, &capped), 0);
+  EXPECT_THROW(
+      (void)fleet.submit(net, make_request_input(kSeed, 2, net, 1)),
+      JournalError);
+  ASSERT_EQ(::setrlimit(RLIMIT_FSIZE, &old_limit), 0);
+  std::signal(SIGXFSZ, old_handler);
+
+  FleetStats stats = fleet.stats();
+  EXPECT_EQ(stats.submitted, 1);
+  for (std::size_t c = 0; c < stats.chips.size(); ++c) {
+    EXPECT_EQ(stats.chips[c].routed, routed_before[c]) << stats.chips[c].name;
+    EXPECT_NEAR(stats.chips[c].backlog_seconds, 0.0, 1e-12)
+        << stats.chips[c].name;
+  }
+
+  // The fleet and its journal carry on: the next submit succeeds and the
+  // log holds exactly the two served requests, each closed out.
+  EXPECT_EQ(
+      fleet.submit(net, make_request_input(kSeed, 3, net, 1)).get().status,
+      RequestStatus::kOk);
+  fleet.wait_idle();
+  const JournalAnalysis log = analyze_journal_file(path.string());
+  EXPECT_FALSE(log.truncated_tail);
+  EXPECT_EQ(log.checksum_errors, 0);
+  EXPECT_EQ(log.submits, 2);
+  EXPECT_EQ(log.completed, 2);
+  EXPECT_EQ(log.cancelled, 0);
+  EXPECT_TRUE(log.in_flight.empty());
+  std::filesystem::remove(path);
+}
+
+TEST(Fleet, RouterRouteMatchesSubmitPlacement) {
   FleetOptions fo;
   Fleet fleet(fo);
   const nn::NetworkModel net = tiny_net();
 
-  const RouteDecision planned = fleet.plan_route(net, /*batch=*/1);
-  const InferenceResult r = fleet.submit(net, 1, {}).get();
+  const RouteDecision planned =
+      fleet.router().route(net, /*batch=*/1, 8, 8, /*inter_layer=*/{});
+  const InferenceResult r = fleet.submit(
+      net, make_request_input(kSeed, 0, net, 1), {}).get();
   EXPECT_EQ(r.chip, planned.chip_name);
   EXPECT_DOUBLE_EQ(r.modelled_seconds, planned.request_seconds);
   fleet.wait_idle();
@@ -208,7 +278,8 @@ TEST(Fleet, PreemptedThenCancelledIsNotDoubleRetracted) {
   fo.preemption = true;
   Fleet fleet(fo);
   const nn::NetworkModel net = tiny_net();
-  const double modelled = fleet.plan_route(net, 1).request_seconds;
+  const double modelled =
+      fleet.router().route(net, 1, 8, 8, /*inter_layer=*/{}).request_seconds;
   ASSERT_GT(modelled, 0.0);
 
   std::promise<void> a_started, b_started;
@@ -230,7 +301,7 @@ TEST(Fleet, PreemptedThenCancelledIsNotDoubleRetracted) {
     Rng rng(7);
     k.fill_random(rng, -16, 16);
   };
-  auto fa = fleet.submit(net, 1, a);
+  auto fa = fleet.submit(net, make_request_input(kSeed, 0, net, 1), a);
   a_started.get_future().wait();
 
   // C (tier 1): the preemptor; its weight_init cancels A, so A is
@@ -242,7 +313,7 @@ TEST(Fleet, PreemptedThenCancelledIsNotDoubleRetracted) {
     Rng rng(8);
     k.fill_random(rng, -16, 16);
   };
-  auto fc = fleet.submit(net, 1, c);
+  auto fc = fleet.submit(net, make_request_input(kSeed, 0, net, 1), c);
 
   // B (tier 0): runs after A's cancellation and blocks so the test can
   // observe the backlog mid-flight.
@@ -255,7 +326,7 @@ TEST(Fleet, PreemptedThenCancelledIsNotDoubleRetracted) {
     Rng rng(9);
     k.fill_random(rng, -16, 16);
   };
-  auto fb = fleet.submit(net, 1, b);
+  auto fb = fleet.submit(net, make_request_input(kSeed, 0, net, 1), b);
   release_a.set_value();
 
   const InferenceResult ra = fa.get();
@@ -297,7 +368,8 @@ TEST(Fleet, AdmissionRejectsDeadlineInfeasibleOnEveryChip) {
   RequestOptions doomed;
   doomed.deadline_ms = 1e-6;
   doomed.admission = true;
-  const InferenceResult r = fleet.submit(net, 1, doomed).get();
+  const InferenceResult r = fleet.submit(
+      net, make_request_input(kSeed, 0, net, 1), doomed).get();
   EXPECT_EQ(r.status, RequestStatus::kRejected);
   EXPECT_EQ(r.completed_layers, 0);
   EXPECT_TRUE(r.run.layers.empty());
@@ -316,7 +388,8 @@ TEST(Fleet, AdmissionRejectsDeadlineInfeasibleOnEveryChip) {
   // past-deadline, resolved kCancelled, counted as expired.
   RequestOptions late = doomed;
   late.admission = false;
-  const InferenceResult rl = fleet.submit(net, 1, late).get();
+  const InferenceResult rl = fleet.submit(
+      net, make_request_input(kSeed, 0, net, 1), late).get();
   EXPECT_EQ(rl.status, RequestStatus::kCancelled);
   EXPECT_TRUE(rl.deadline_expired);
   fleet.wait_idle();
@@ -329,7 +402,8 @@ TEST(Fleet, AdmissionRejectsDeadlineInfeasibleOnEveryChip) {
   RequestOptions fine;
   fine.deadline_ms = 600e3;
   fine.admission = true;
-  const InferenceResult rf = fleet.submit(net, 1, fine).get();
+  const InferenceResult rf = fleet.submit(
+      net, make_request_input(kSeed, 0, net, 1), fine).get();
   EXPECT_EQ(rf.status, RequestStatus::kOk);
   fleet.wait_idle();
   stats = fleet.stats();
@@ -346,7 +420,8 @@ TEST(Fleet, HonorsPerRequestArrayOverride) {
   pinned.num_pes = 144;
   pinned.clock_hz = 350e6;
   ro.array = pinned;
-  const InferenceResult r = fleet.submit(tiny_net(), 1, ro).get();
+  const InferenceResult r = fleet.submit(
+      tiny_net(), make_request_input(kSeed, 0, tiny_net(), 1), ro).get();
   ASSERT_EQ(r.status, RequestStatus::kOk);
   for (const auto& layer : r.run.layers) {
     EXPECT_EQ(layer.run.plan.array.num_pes, 144);

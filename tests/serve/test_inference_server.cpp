@@ -41,11 +41,37 @@ nn::NetworkModel tiny_net() {
   return net;
 }
 
-Tensor<std::int16_t> tiny_input(std::int64_t batch, std::uint64_t seed) {
-  Tensor<std::int16_t> input(Shape{batch, 2, 8, 8});
-  Rng rng(seed);
-  input.fill_random(rng, -64, 64);
-  return input;
+constexpr std::uint64_t kSeed = 7;
+
+TEST(MakeRequestInput, IsAPureFunctionOfSeedAndKey) {
+  const nn::NetworkModel net = tiny_net();
+  const Tensor<std::int16_t> a = make_request_input(kSeed, 5, net, 2);
+  EXPECT_EQ(a.shape(), (Shape{2, 2, 8, 8}));  // {batch, C0, H0, W0}
+  EXPECT_EQ(a, make_request_input(kSeed, 5, net, 2));
+  EXPECT_FALSE(a == make_request_input(kSeed, 6, net, 2));
+  EXPECT_FALSE(a == make_request_input(kSeed + 1, 5, net, 2));
+  for (const std::int16_t v : a.data()) {
+    EXPECT_GE(v, -64);
+    EXPECT_LE(v, 64);  // fill_random draws integers inclusively
+  }
+
+  // Key 0 is the plain Rng(seed) fill (SweepDriver's one input), key k
+  // the golden-ratio-keyed stream.
+  Tensor<std::int16_t> plain(Shape{2, 2, 8, 8});
+  Rng rng(kSeed);
+  plain.fill_random(rng, -64, 64);
+  EXPECT_EQ(make_request_input(kSeed, 0, net, 2), plain);
+  Tensor<std::int16_t> keyed(Shape{1, 2, 8, 8});
+  Rng keyed_rng(kSeed ^ (0x9E3779B97F4A7C15ull * 3));
+  keyed.fill_random(keyed_rng, -64, 64);
+  EXPECT_EQ(make_request_input(kSeed, 3, net, 1), keyed);
+}
+
+TEST(MakeRequestInput, RejectsEmptyBatchAndEmptyNetwork) {
+  EXPECT_THROW((void)make_request_input(kSeed, 1, tiny_net(), 0),
+               std::logic_error);
+  EXPECT_THROW((void)make_request_input(kSeed, 1, nn::NetworkModel{}, 1),
+               std::logic_error);
 }
 
 TEST(InferenceServer, DrainsQueueAndCountsRequests) {
@@ -57,7 +83,7 @@ TEST(InferenceServer, DrainsQueueAndCountsRequests) {
   const nn::NetworkModel net = tiny_net();
   std::vector<std::future<InferenceResult>> futures;
   for (int i = 0; i < 10; ++i)
-    futures.push_back(server.submit(net, /*batch=*/2));
+    futures.push_back(server.submit(net, make_request_input(kSeed, i, net, 2)));
   for (auto& f : futures) {
     const InferenceResult r = f.get();
     EXPECT_EQ(r.exec_mode, chain::ExecMode::kAnalytical);
@@ -79,7 +105,7 @@ TEST(InferenceServer, DrainsQueueAndCountsRequests) {
 TEST(InferenceServer, PerRequestExecModeMatchesBitForBit) {
   InferenceServer server{ServerOptions{}};
   const nn::NetworkModel net = tiny_net();
-  const Tensor<std::int16_t> input = tiny_input(2, 42);
+  const Tensor<std::int16_t> input = make_request_input(42, 0, net, 2);
 
   RequestOptions fast;
   fast.exec_mode = chain::ExecMode::kAnalytical;
@@ -107,7 +133,8 @@ TEST(InferenceServer, PerRequestArrayOverride) {
   array.num_pes = 288;
   array.clock_hz = 350e6;
   ro.array = array;
-  const InferenceResult r = server.submit(tiny_net(), 1, ro).get();
+  const InferenceResult r = server.submit(
+      tiny_net(), make_request_input(kSeed, 0, tiny_net(), 1), ro).get();
   for (const auto& layer : r.run.layers) {
     EXPECT_EQ(layer.run.plan.array.num_pes, 288);
     EXPECT_EQ(layer.run.plan.array.clock_hz, 350e6);
@@ -124,7 +151,7 @@ TEST(InferenceServer, FidelitySamplesAreBitIdentical) {
   constexpr int kRequests = 9;
   std::vector<std::future<InferenceResult>> futures;
   for (int i = 0; i < kRequests; ++i)
-    futures.push_back(server.submit(net, /*batch=*/2));
+    futures.push_back(server.submit(net, make_request_input(kSeed, i, net, 2)));
 
   int sampled = 0;
   for (auto& f : futures) {
@@ -162,7 +189,7 @@ TEST(InferenceServer, InjectedDivergenceIsCaughtAndCounted) {
   const nn::NetworkModel net = tiny_net();
   std::vector<std::future<InferenceResult>> futures;
   for (int i = 0; i < 4; ++i)
-    futures.push_back(server.submit(net, /*batch=*/1));
+    futures.push_back(server.submit(net, make_request_input(kSeed, i, net, 1)));
 
   int divergences = 0;
   for (auto& f : futures) {
@@ -202,7 +229,8 @@ TEST(InferenceServer, EnergyAndTrafficDivergencesAreCaught) {
               mutate(replay);
             };
         InferenceServer server(so);
-        const InferenceResult r = server.submit(net, /*batch=*/1).get();
+        const InferenceResult r = server.submit(
+            net, make_request_input(kSeed, 0, net, 1)).get();
         EXPECT_TRUE(r.fidelity.sampled);
         EXPECT_EQ(server.stats().fidelity_divergences,
                   r.fidelity.diverged ? 1 : 0);
@@ -243,7 +271,7 @@ TEST(InferenceServer, SharedCacheAcrossServers) {
     ServerOptions so;
     so.plan_cache = cache;
     InferenceServer first(so);
-    (void)first.submit(net, 1).get();
+    (void)first.submit(net, make_request_input(kSeed, 0, net, 1)).get();
   }
   const PlanCacheStats after_first = cache->stats();
   EXPECT_EQ(after_first.entries, 2u);
@@ -251,7 +279,7 @@ TEST(InferenceServer, SharedCacheAcrossServers) {
   ServerOptions so;
   so.plan_cache = cache;
   InferenceServer second(so);
-  (void)second.submit(net, 1).get();
+  (void)second.submit(net, make_request_input(kSeed, 0, net, 1)).get();
   const PlanCacheStats after_second = cache->stats();
   EXPECT_EQ(after_second.entries, 2u);
   EXPECT_GE(after_second.hits, after_first.hits + 2);
@@ -264,7 +292,7 @@ TEST(InferenceServer, RequestErrorsResolveTheFuture) {
   // the future must carry the error instead of hanging.
   net.conv_layers[0].kernel = 99;
   net.conv_layers[0].in_height = net.conv_layers[0].in_width = 99;
-  auto future = server.submit(net, 1);
+  auto future = server.submit(net, make_request_input(kSeed, 0, net, 1));
   EXPECT_ANY_THROW((void)future.get());
   server.wait_idle();
   EXPECT_EQ(server.stats().failed, 1);
@@ -274,7 +302,8 @@ TEST(InferenceServer, PastDeadlineAtSubmitResolvesCancelled) {
   InferenceServer server{ServerOptions{}};
   RequestOptions ro;
   ro.deadline_ms = -5.0;  // already missed when submitted
-  const InferenceResult r = server.submit(tiny_net(), 1, ro).get();
+  const InferenceResult r = server.submit(
+      tiny_net(), make_request_input(kSeed, 0, tiny_net(), 1), ro).get();
   EXPECT_EQ(r.status, RequestStatus::kCancelled);
   EXPECT_EQ(r.completed_layers, 0);
   EXPECT_TRUE(r.run.layers.empty());
@@ -304,7 +333,8 @@ TEST(InferenceServer, CancelTokenStopsBetweenLayers) {
     Rng rng(99);
     kernels.fill_random(rng, -16, 16);
   };
-  const InferenceResult r = server.submit(tiny_net(), 1, ro).get();
+  const InferenceResult r = server.submit(
+      tiny_net(), make_request_input(kSeed, 0, tiny_net(), 1), ro).get();
   EXPECT_EQ(r.status, RequestStatus::kCancelled);
   EXPECT_EQ(r.completed_layers, 1);
   EXPECT_TRUE(r.run.layers.empty());  // partial work is not delivered
@@ -347,14 +377,15 @@ TEST(InferenceServer, HighPriorityOvertakesQueuedLowPriority) {
     Rng rng(7);
     kernels.fill_random(rng, -16, 16);
   };
-  auto f1 = server.submit(net, 1, blocker);  // id 1, occupies the worker
+  // id 1, occupies the worker
+  auto f1 = server.submit(net, make_request_input(kSeed, 0, net, 1), blocker);
   blocker_started.get_future().wait();
 
   RequestOptions low;   // id 2, tier 0
   RequestOptions high;  // id 3, tier 5
   high.priority = 5;
-  auto f2 = server.submit(net, 1, low);
-  auto f3 = server.submit(net, 1, high);
+  auto f2 = server.submit(net, make_request_input(kSeed, 0, net, 1), low);
+  auto f3 = server.submit(net, make_request_input(kSeed, 0, net, 1), high);
   release_blocker.set_value();
   (void)f1.get();
   (void)f2.get();
@@ -393,7 +424,7 @@ TEST(InferenceServer, EarliestDeadlineFirstWithinATier) {
     Rng rng(7);
     kernels.fill_random(rng, -16, 16);
   };
-  auto f1 = server.submit(net, 1, blocker);
+  auto f1 = server.submit(net, make_request_input(kSeed, 0, net, 1), blocker);
   blocker_started.get_future().wait();
 
   // Same tier; the later-submitted request has the earlier deadline and
@@ -402,9 +433,9 @@ TEST(InferenceServer, EarliestDeadlineFirstWithinATier) {
   RequestOptions loose, tight;
   loose.deadline_ms = 60e3;              // id 3
   tight.deadline_ms = 30e3;              // id 4
-  auto f2 = server.submit(net, 1, none);
-  auto f3 = server.submit(net, 1, loose);
-  auto f4 = server.submit(net, 1, tight);
+  auto f2 = server.submit(net, make_request_input(kSeed, 0, net, 1), none);
+  auto f3 = server.submit(net, make_request_input(kSeed, 0, net, 1), loose);
+  auto f4 = server.submit(net, make_request_input(kSeed, 0, net, 1), tight);
   release_blocker.set_value();
   (void)f1.get();
   (void)f2.get();
@@ -441,7 +472,7 @@ TEST(InferenceServer, PreemptionCheckpointsAndResumesBitIdentical) {
   };
   InferenceServer server(so);
   const nn::NetworkModel net = tiny_net();
-  const Tensor<std::int16_t> input = tiny_input(1, 321);
+  const Tensor<std::int16_t> input = make_request_input(321, 0, net, 1);
 
   // Per-layer-pure weights so the direct replay below draws the same
   // kernels without the gating side effects.
@@ -462,7 +493,8 @@ TEST(InferenceServer, PreemptionCheckpointsAndResumesBitIdentical) {
 
   RequestOptions urgent;  // id 2, tier 1 — queued while the victim runs
   urgent.priority = 1;
-  auto urgent_future = server.submit(net, 1, urgent);
+  auto urgent_future = server.submit(
+      net, make_request_input(kSeed, 0, net, 1), urgent);
   release_blocker.set_value();
 
   const InferenceResult vr = victim_future.get();
@@ -522,13 +554,13 @@ TEST(InferenceServer, DeadHigherTierWaiterDoesNotPreempt) {
     Rng rng(7);
     k.fill_random(rng, -16, 16);
   };
-  auto f1 = server.submit(net, 1, victim);
+  auto f1 = server.submit(net, make_request_input(kSeed, 0, net, 1), victim);
   blocker_started.get_future().wait();
 
   RequestOptions dead;
   dead.priority = 2;
   dead.cancel = std::make_shared<std::atomic<bool>>(true);
-  auto f2 = server.submit(net, 1, dead);
+  auto f2 = server.submit(net, make_request_input(kSeed, 0, net, 1), dead);
   release_blocker.set_value();
 
   EXPECT_EQ(f1.get().status, RequestStatus::kOk);
@@ -575,7 +607,8 @@ TEST(InferenceServer, PreemptedThenCancelledAtPickupKeepsAttemptWallTime) {
     Rng rng(7);
     k.fill_random(rng, -16, 16);
   };
-  auto victim_future = server.submit(net, 1, victim);
+  auto victim_future = server.submit(
+      net, make_request_input(kSeed, 0, net, 1), victim);
   victim_started.get_future().wait();
 
   RequestOptions urgent;  // id 2, tier 1 — forces the checkpoint
@@ -588,7 +621,8 @@ TEST(InferenceServer, PreemptedThenCancelledAtPickupKeepsAttemptWallTime) {
     Rng rng(7);
     k.fill_random(rng, -16, 16);
   };
-  auto urgent_future = server.submit(net, 1, urgent);
+  auto urgent_future = server.submit(
+      net, make_request_input(kSeed, 0, net, 1), urgent);
   release_victim.set_value();
 
   // The urgent request executing proves the victim was checkpointed and
@@ -647,11 +681,11 @@ TEST(InferenceServer, NoPreemptionAcrossEqualTiers) {
     Rng rng(7);
     k.fill_random(rng, -16, 16);
   };
-  auto f1 = server.submit(net, 1, first);
+  auto f1 = server.submit(net, make_request_input(kSeed, 0, net, 1), first);
   blocker_started.get_future().wait();
   RequestOptions tight;
   tight.deadline_ms = 10e3;
-  auto f2 = server.submit(net, 1, tight);
+  auto f2 = server.submit(net, make_request_input(kSeed, 0, net, 1), tight);
   release_blocker.set_value();
   (void)f1.get();
   (void)f2.get();
@@ -682,7 +716,8 @@ TEST(InferenceServer, CompletedPastDeadlineCountsAsMiss) {
     Rng rng(7);
     kernels.fill_random(rng, -16, 16);
   };
-  const InferenceResult r = server.submit(net, 1, ro).get();
+  const InferenceResult r = server.submit(
+      net, make_request_input(kSeed, 0, net, 1), ro).get();
   EXPECT_EQ(r.status, RequestStatus::kOk);
   EXPECT_TRUE(r.deadline_missed);
   EXPECT_EQ(r.completed_layers, 1);

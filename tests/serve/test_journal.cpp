@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "chain/network_runner.hpp"
-#include "common/rng.hpp"
 #include "serve/durable.hpp"
 #include "serve/inference_server.hpp"
 #include "serve/journal.hpp"
@@ -60,16 +59,6 @@ nn::NetworkModel tiny_net(int layers) {
     net.conv_layers.push_back(l);
   }
   return net;
-}
-
-Tensor<std::int16_t> request_input(const nn::NetworkModel& net,
-                                   std::int64_t batch, std::uint64_t seed) {
-  const nn::ConvLayerParams& first = net.conv_layers.front();
-  Tensor<std::int16_t> input(
-      Shape{batch, first.in_channels, first.in_height, first.in_width});
-  Rng rng(seed);
-  input.fill_random(rng, -64, 64);
-  return input;
 }
 
 // --- framing ---------------------------------------------------------------
@@ -240,7 +229,7 @@ TEST(DurableCodecs, SubmitRecordRoundTrips) {
   rec.tag = 42;
   rec.chip_name = "pe576";
   rec.net = tiny_net(3);
-  rec.input = request_input(rec.net, 2, 99);
+  rec.input = make_request_input(99, 0, rec.net, 2);
   rec.priority = -3;
   rec.num_workers = 2;
   rec.verify_against_golden = true;
@@ -291,7 +280,7 @@ TEST(DurableCodecs, SubmitRecordRoundTrips) {
   SubmitRecord plain;
   plain.tag = 7;
   plain.net = tiny_net(1);
-  plain.input = request_input(plain.net, 1, 5);
+  plain.input = make_request_input(5, 0, plain.net, 1);
   const std::string plain_enc = encode_submit(plain);
   const SubmitRecord plain_back =
       decode_submit(std::string_view(plain_enc).substr(1));
@@ -324,7 +313,7 @@ std::shared_ptr<chain::RunCheckpoint> capture_checkpoint(
 
 TEST(DurableCodecs, CheckpointRoundTripsAndResumesBitIdentical) {
   const nn::NetworkModel net = tiny_net(3);
-  const Tensor<std::int16_t> input = request_input(net, 1, 11);
+  const Tensor<std::int16_t> input = make_request_input(11, 0, net, 1);
   const chain::AcceleratorConfig cfg = analytical_accelerator_config();
 
   const std::shared_ptr<chain::RunCheckpoint> cp =
@@ -380,10 +369,10 @@ TEST(DurableCodecs, AnalyzeJournalFindsInFlightRequests) {
       rec.tag = tag;
       rec.chip_name = "pe576";
       rec.net = net;
-      rec.input = request_input(net, 1, tag);
+      rec.input = make_request_input(tag, 0, net, 1);
       journal.append(encode_submit(rec));
     }
-    const Tensor<std::int16_t> input3 = request_input(net, 1, 3);
+    const Tensor<std::int16_t> input3 = make_request_input(3, 0, net, 1);
     const std::shared_ptr<chain::RunCheckpoint> cp =
         capture_checkpoint(net, input3, cfg, /*after_layers=*/1);
     ASSERT_NE(cp, nullptr);

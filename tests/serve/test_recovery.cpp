@@ -24,7 +24,6 @@
 #include <vector>
 
 #include "chain/network_runner.hpp"
-#include "common/rng.hpp"
 #include "serve/durable.hpp"
 #include "serve/fleet.hpp"
 #include "serve/journal.hpp"
@@ -68,16 +67,6 @@ nn::NetworkModel tiny_net(int layers) {
     net.conv_layers.push_back(l);
   }
   return net;
-}
-
-Tensor<std::int16_t> request_input(const nn::NetworkModel& net,
-                                   std::int64_t batch, std::uint64_t seed) {
-  const nn::ConvLayerParams& first = net.conv_layers.front();
-  Tensor<std::int16_t> input(
-      Shape{batch, first.in_channels, first.in_height, first.in_width});
-  Rng rng(seed);
-  input.fill_random(rng, -64, 64);
-  return input;
 }
 
 chain::AcceleratorConfig chip_config(const ChipSpec& chip) {
@@ -260,15 +249,13 @@ Baseline run_baseline(const std::string& journal_path) {
       const nn::NetworkModel& net = (i % 2 == 0) ? net2 : net3;
       RequestOptions options;
       options.priority = (i % 3 == 2) ? 2 : 0;
-      if (i % 2 == 0) {
-        // Explicit input (journaled verbatim in the SUBMIT record).
-        futures.push_back(fleet.submit(
-            net, request_input(net, 1 + i % 2, 100 + i), options));
-      } else {
-        // Generated input (journaled too — the journaling path derives
-        // it from the durable tag so a replay regenerates nothing).
-        futures.push_back(fleet.submit(net, /*batch=*/2, options));
-      }
+      // Every input is journaled verbatim in its SUBMIT record, so a
+      // replay regenerates nothing: seeded inputs on even requests,
+      // front-end-style inputs keyed by the request number on odd ones.
+      const Tensor<std::int16_t> input =
+          (i % 2 == 0) ? make_request_input(100 + i, 0, net, 1)
+                       : make_request_input(7, i + 1, net, 2);
+      futures.push_back(fleet.submit(net, input, options));
     }
     for (std::future<InferenceResult>& f : futures) {
       InferenceResult r = f.get();
@@ -381,12 +368,12 @@ TEST(Recovery, LivePreemptionCheckpointSurvivesTheCrash) {
         slow.priority = 0;
         slow.exec_mode = chain::ExecMode::kCycleAccurate;
         futures.push_back(
-            fleet.submit(net, request_input(net, 2, 500 + i), slow));
+            fleet.submit(net, make_request_input(500 + i, 0, net, 2), slow));
       }
       RequestOptions urgent;
       urgent.priority = 2;
       futures.push_back(
-          fleet.submit(net, request_input(net, 1, 900), urgent));
+          fleet.submit(net, make_request_input(900, 0, net, 1), urgent));
       for (std::future<InferenceResult>& f : futures) {
         InferenceResult r = f.get();
         EXPECT_EQ(r.status, RequestStatus::kOk);
@@ -422,7 +409,7 @@ TEST(Recovery, CheckpointResumesBitIdenticalOnTheSameChip) {
   const std::vector<ChipSpec> chips = default_fleet_chips();
   const ChipSpec& chip = chips[1];
   const nn::NetworkModel net = tiny_net(3);
-  const Tensor<std::int16_t> input = request_input(net, 1, 77);
+  const Tensor<std::int16_t> input = make_request_input(77, 0, net, 1);
   const chain::AcceleratorConfig cfg = chip_config(chip);
 
   const std::shared_ptr<chain::RunCheckpoint> cp =
@@ -468,7 +455,7 @@ TEST(Recovery, CheckpointHandsOffWhenTheChipIsGone) {
   const std::vector<ChipSpec> survivors = {all[2]};  // ...gone after
 
   const nn::NetworkModel net = tiny_net(3);
-  const Tensor<std::int16_t> input = request_input(net, 1, 33);
+  const Tensor<std::int16_t> input = make_request_input(33, 0, net, 1);
   const std::shared_ptr<chain::RunCheckpoint> cp =
       capture_checkpoint(net, input, chip_config(origin),
                          /*after_layers=*/1);

@@ -6,7 +6,7 @@
 #include <memory>
 
 #include "chain/network_runner.hpp"
-#include "common/rng.hpp"
+#include "serve/inference_server.hpp"
 #include "serve/router.hpp"
 
 namespace chainnn::serve {
@@ -61,9 +61,7 @@ TEST(Router, ResolvedLayersMatchTheExecutedNetwork) {
   chain::ChainAccelerator acc(cfg);
   const auto energy = energy::EnergyModel::paper_calibrated();
   chain::NetworkRunner runner(acc, energy);
-  Tensor<std::int16_t> input(Shape{batch, 2, 16, 16});
-  Rng rng(5);
-  input.fill_random(rng, -64, 64);
+  const Tensor<std::int16_t> input = make_request_input(5, 0, net, batch);
   chain::NetworkRunOptions ro;
   ro.inter_layer = inter;
   const chain::NetworkRunResult run = runner.run(net, input, ro);

@@ -94,16 +94,6 @@ nn::NetworkModel tiny_net(int layers) {
   return net;
 }
 
-Tensor<std::int16_t> request_input(const nn::NetworkModel& net,
-                                   std::int64_t batch, std::uint64_t seed) {
-  const nn::ConvLayerParams& first = net.conv_layers.front();
-  Tensor<std::int16_t> input(
-      Shape{batch, first.in_channels, first.in_height, first.in_width});
-  Rng rng(seed);
-  input.fill_random(rng, -64, 64);
-  return input;
-}
-
 // The chip configuration a fleet request actually executed under,
 // recovered from the result's chip name (a per-request array override
 // replaces the chip's array but keeps its memory, exactly as
@@ -313,8 +303,8 @@ TEST(SchedProperties, RandomizedMixedTraceMatchesOracle) {
       TraceRequest r;
       r.net = rng.uniform_int(0, 1) ? &net3 : &net2;
       const std::int64_t batch = rng.uniform_int(1, 2);
-      r.input = request_input(*r.net, batch,
-                              seed * 1000 + static_cast<std::uint64_t>(i));
+      r.input = make_request_input(
+          seed * 1000 + static_cast<std::uint64_t>(i), 0, *r.net, batch);
       r.options.priority = static_cast<std::int32_t>(rng.uniform_int(0, 2));
       const std::int64_t deadline_class = rng.uniform_int(0, 9);
       if (deadline_class < 2) {
@@ -383,7 +373,8 @@ TEST(SchedProperties, PreemptionBurstIsBitIdenticalToOracle) {
         weights(layer, k);
       };
       victim_inputs.push_back(
-          request_input(net, 1, seed * 77 + static_cast<std::uint64_t>(v)));
+          make_request_input(seed * 77 + static_cast<std::uint64_t>(v), 0,
+                             net, 1));
       victims.push_back(fleet.submit(net, victim_inputs.back(), ro));
     }
     // All three victims are mid-layer-0, one per chip, each pinning its
@@ -397,7 +388,8 @@ TEST(SchedProperties, PreemptionBurstIsBitIdenticalToOracle) {
       ro.priority = 2;
       ro.array = pinned;
       urgent_inputs.push_back(
-          request_input(net, 1, seed * 99 + static_cast<std::uint64_t>(u)));
+          make_request_input(seed * 99 + static_cast<std::uint64_t>(u), 0,
+                             net, 1));
       urgent.push_back(fleet.submit(net, urgent_inputs.back(), ro));
     }
     open_gate.set_value();
@@ -485,7 +477,9 @@ TEST(SchedProperties, AdmissionNeverIncreasesMissedDeadlines) {
         // microscopic-but-positive one no chip can meet.
         ro.deadline_ms = e.doomed ? 1e-6 : 600e3;
         ro.admission = admission;
-        futures.push_back(fleet.submit(*e.net, e.batch, ro));
+        futures.push_back(fleet.submit(
+            *e.net, make_request_input(seed, futures.size(), *e.net, e.batch),
+            ro));
       }
       for (std::size_t i = 0; i < futures.size(); ++i) {
         const InferenceResult r = futures[i].get();

@@ -160,8 +160,9 @@ TEST(SweepDriver, WallTimeExcludesQueueWait) {
   slow.exec_mode = chain::ExecMode::kCycleAccurate;  // ~50x analytical
   RequestOptions fast;
   fast.exec_mode = chain::ExecMode::kAnalytical;
-  auto a = server.submit(net, /*batch=*/4, slow);
-  auto b = server.submit(net, /*batch=*/4, fast);  // queues behind `a`
+  const Tensor<std::int16_t> input = make_request_input(7, 0, net, 4);
+  auto a = server.submit(net, input, slow);
+  auto b = server.submit(net, input, fast);  // queues behind `a`
   const InferenceResult ra = a.get();
   const InferenceResult rb = b.get();
   ASSERT_EQ(ra.status, RequestStatus::kOk);
